@@ -139,20 +139,23 @@ impl Run {
     }
 }
 
-fn overlaps(a: Span, b: Span) -> bool {
-    a.start < b.end() && b.start < a.end()
-}
-
 /// Data pieces of `runs` inside `span` (clipped) plus the uninitialized
 /// gaps between them.
+///
+/// Runs are sorted, disjoint and non-empty, so the overlapping runs form
+/// one window: it starts at the first run ending after `span.start` and
+/// stops before the first run starting at or after `span.end()`. (An
+/// empty span strictly inside a run overlaps it and yields one empty
+/// piece.)
 fn read(runs: &[Run], span: Span) -> (Vec<Run>, Vec<Span>) {
     let mut pieces = Vec::new();
     let mut gaps = Vec::new();
     let mut cursor = span.start;
-    for r in runs {
-        if !overlaps(r.span, span) {
-            continue;
-        }
+    let first = runs.partition_point(|r| r.span.end() <= span.start);
+    for r in runs[first..]
+        .iter()
+        .take_while(|r| r.span.start < span.end())
+    {
         let c = r.clip(span);
         if c.span.start > cursor {
             gaps.push(Span::new(cursor, c.span.start - cursor));
@@ -167,14 +170,23 @@ fn read(runs: &[Run], span: Span) -> (Vec<Run>, Vec<Span>) {
 }
 
 /// Replaces the `span` portion of `runs` with `pieces` (disjoint,
-/// contained in `span`). Boundary runs are split, preserving `elem0`.
-fn splice(runs: &mut Vec<Run>, span: Span, pieces: Vec<Run>) {
+/// contained in `span`, in any order). Boundary runs are split,
+/// preserving `elem0`.
+///
+/// Only the overlapping window `[i, j)` changes: it becomes the left
+/// split, the non-empty pieces sorted by start, then the right split.
+/// The rebuilt list is allocated at exactly `runs.len() + pieces.len()`
+/// (pieces counted before filtering): the lint cache retains checkpointed
+/// run lists, so the amortized doubling of an in-place splice would
+/// inflate every retained list's capacity.
+fn splice(runs: &mut Vec<Run>, span: Span, mut pieces: Vec<Run>) {
+    let i = runs.partition_point(|r| r.span.end() <= span.start);
+    let j = i + runs[i..].partition_point(|r| r.span.start < span.end());
     let mut kept: Vec<Run> = Vec::with_capacity(runs.len() + pieces.len());
-    for r in runs.drain(..) {
-        if !overlaps(r.span, span) {
-            kept.push(r);
-            continue;
-        }
+    let mut old = std::mem::take(runs).into_iter();
+    kept.extend(old.by_ref().take(i));
+    let mut right = None;
+    for r in old.by_ref().take(j - i) {
         if r.span.start < span.start {
             kept.push(Run {
                 span: Span::new(r.span.start, span.start - r.span.start),
@@ -183,15 +195,18 @@ fn splice(runs: &mut Vec<Run>, span: Span, pieces: Vec<Run>) {
             });
         }
         if span.end() < r.span.end() {
-            kept.push(Run {
+            right = Some(Run {
                 span: Span::new(span.end(), r.span.end() - span.end()),
                 elem0: r.elem_at(span.end()),
                 contrib: r.contrib,
             });
         }
     }
-    kept.extend(pieces.into_iter().filter(|p| !p.span.is_empty()));
-    kept.sort_by_key(|r| r.span.start);
+    pieces.retain(|p| !p.span.is_empty());
+    pieces.sort_by_key(|p| p.span.start);
+    kept.extend(pieces);
+    kept.extend(right);
+    kept.extend(old);
     *runs = kept;
 }
 
@@ -625,5 +640,180 @@ fn check_node(
             }
         }
         k += span.len;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pim_sim::rng::SimRng;
+
+    use super::*;
+
+    fn overlaps(a: Span, b: Span) -> bool {
+        a.start < b.end() && b.start < a.end()
+    }
+
+    /// Reference linear scan of every run: the oracle [`read`] must match.
+    fn read_linear(runs: &[Run], span: Span) -> (Vec<Run>, Vec<Span>) {
+        let mut pieces = Vec::new();
+        let mut gaps = Vec::new();
+        let mut cursor = span.start;
+        for r in runs {
+            if !overlaps(r.span, span) {
+                continue;
+            }
+            let c = r.clip(span);
+            if c.span.start > cursor {
+                gaps.push(Span::new(cursor, c.span.start - cursor));
+            }
+            cursor = c.span.end();
+            pieces.push(c);
+        }
+        if cursor < span.end() {
+            gaps.push(Span::new(cursor, span.end() - cursor));
+        }
+        (pieces, gaps)
+    }
+
+    /// Reference drain-rebuild-sort of the whole list: the oracle
+    /// [`splice`] must match, capacity included.
+    fn splice_linear(runs: &mut Vec<Run>, span: Span, pieces: Vec<Run>) {
+        let mut kept: Vec<Run> = Vec::with_capacity(runs.len() + pieces.len());
+        for r in runs.drain(..) {
+            if !overlaps(r.span, span) {
+                kept.push(r);
+                continue;
+            }
+            if r.span.start < span.start {
+                kept.push(Run {
+                    span: Span::new(r.span.start, span.start - r.span.start),
+                    elem0: r.elem0,
+                    contrib: r.contrib.clone(),
+                });
+            }
+            if span.end() < r.span.end() {
+                kept.push(Run {
+                    span: Span::new(span.end(), r.span.end() - span.end()),
+                    elem0: r.elem_at(span.end()),
+                    contrib: r.contrib,
+                });
+            }
+        }
+        kept.extend(pieces.into_iter().filter(|p| !p.span.is_empty()));
+        kept.sort_by_key(|r| r.span.start);
+        *runs = kept;
+    }
+
+    const BUFFER: usize = 48;
+
+    fn contrib(rng: &mut SimRng) -> Arc<NodeSet> {
+        let k = rng.gen_range(0..5u32);
+        Arc::new(if k == 4 {
+            NodeSet::full(4)
+        } else {
+            NodeSet::single(4, k)
+        })
+    }
+
+    /// Sorted, disjoint, non-empty runs covering a random part of
+    /// `range`, with random `elem0` and contributors.
+    fn random_runs(rng: &mut SimRng, range: Span) -> Vec<Run> {
+        let mut runs = Vec::new();
+        let mut b = range.start;
+        while b < range.end() {
+            b += rng.gen_range(0..4usize);
+            let len = rng.gen_range(1..8usize).min(range.end().saturating_sub(b));
+            if len == 0 {
+                break;
+            }
+            runs.push(Run {
+                span: Span::new(b, len),
+                elem0: rng.gen_range(0..64usize),
+                contrib: contrib(rng),
+            });
+            b += len;
+        }
+        runs
+    }
+
+    /// A span that may be empty and may reach past every run.
+    fn random_span(rng: &mut SimRng) -> Span {
+        let start = rng.gen_range(0..BUFFER);
+        let len = if rng.gen_bool(0.15) {
+            0
+        } else {
+            rng.gen_range(0..BUFFER - start + 1)
+        };
+        Span::new(start, len)
+    }
+
+    /// Disjoint pieces inside `span`, some empty, with gap-filling pieces
+    /// appended after the data pieces the way `apply_combine` builds
+    /// them, so they arrive unsorted.
+    fn random_pieces(rng: &mut SimRng, span: Span) -> Vec<Run> {
+        let mut pieces = random_runs(rng, span);
+        let mut tail: Vec<Run> = Vec::new();
+        pieces.retain(|p| {
+            let moved = rng.gen_bool(0.3);
+            if moved {
+                tail.push(p.clone());
+            }
+            !moved
+        });
+        pieces.extend(tail);
+        if rng.gen_bool(0.3) {
+            let at = rng.gen_range(span.start..span.end() + 1);
+            pieces.push(Run {
+                span: Span::new(at, 0),
+                elem0: 0,
+                contrib: contrib(rng),
+            });
+        }
+        pieces
+    }
+
+    #[test]
+    fn binary_search_read_matches_linear_oracle() {
+        let mut rng = SimRng::seed_from_u64(0xDA7A_F10E);
+        for _ in 0..5000 {
+            let runs = random_runs(&mut rng, Span::new(0, BUFFER));
+            let span = random_span(&mut rng);
+            assert_eq!(
+                read(&runs, span),
+                read_linear(&runs, span),
+                "read {span} of {runs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_splice_matches_linear_oracle() {
+        let mut rng = SimRng::seed_from_u64(0x5B11_CE00);
+        for _ in 0..5000 {
+            let runs = random_runs(&mut rng, Span::new(0, BUFFER));
+            let span = random_span(&mut rng);
+            let pieces = random_pieces(&mut rng, span);
+            let (mut got, mut want) = (runs.clone(), runs.clone());
+            splice(&mut got, span, pieces.clone());
+            splice_linear(&mut want, span, pieces.clone());
+            assert_eq!(got, want, "splice {span} <- {pieces:?} into {runs:?}");
+            assert_eq!(got.capacity(), want.capacity(), "capacity drifted");
+        }
+    }
+
+    #[test]
+    fn empty_span_inside_a_run_splits_it() {
+        let run = Run {
+            span: Span::new(2, 6),
+            elem0: 10,
+            contrib: Arc::new(NodeSet::single(4, 1)),
+        };
+        let mut runs = vec![run.clone()];
+        let (pieces, gaps) = read(&runs, Span::new(5, 0));
+        assert_eq!(pieces, vec![run.clip(Span::new(5, 0))]);
+        assert!(gaps.is_empty());
+        splice(&mut runs, Span::new(5, 0), pieces);
+        let spans: Vec<(Span, usize)> = runs.iter().map(|r| (r.span, r.elem0)).collect();
+        assert_eq!(spans, vec![(Span::new(2, 3), 10), (Span::new(5, 3), 13)]);
     }
 }

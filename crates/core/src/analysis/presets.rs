@@ -221,6 +221,7 @@ mod tests {
 
     #[test]
     fn clean_presets_lint_clean() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let case = PresetCase {
             kind: CollectiveKind::AllReduce,
             dpus: 8,
@@ -235,6 +236,7 @@ mod tests {
 
     #[test]
     fn composed_presets_lint_clean() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let case = PresetCase {
             kind: CollectiveKind::AllReduce,
             dpus: COMPOSED_DPUS,
@@ -249,6 +251,7 @@ mod tests {
 
     #[test]
     fn storm_cases_run_or_skip_with_a_reason() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         for kind in [CollectiveKind::AllReduce, CollectiveKind::AllToAll] {
             let case = PresetCase {
                 kind,

@@ -19,6 +19,8 @@
 //! * **Empty barrier** (`P303`, warning): a phase or step with no
 //!   transfers still costs a full READY/START round trip for nothing.
 
+use std::collections::BTreeMap;
+
 use crate::schedule::{ScheduleHeader, ScheduleView, Span, StepRef};
 
 use super::diagnostics::{Diagnostic, Location};
@@ -89,23 +91,44 @@ pub(super) fn check_step(
     check_serialization(pi, si, step, diags);
 }
 
-/// Builds the must-precede relation of one step (transfer `a` before `b`
-/// iff `b` overwrites a region `a` reads on the same node) and reports a
-/// cycle if one exists.
-fn check_serialization(pi: usize, si: usize, step: StepRef<'_>, diags: &mut Vec<Diagnostic>) {
-    let count = step.len();
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); count];
-    for (a, ta) in step.transfers().enumerate() {
-        for (b, tb) in step.transfers().enumerate() {
-            if a == b || tb.combine {
-                continue;
-            }
-            // `tb` overwrites `ta`'s read region on ta's source node.
-            if tb.dsts.contains(&ta.src) && overlaps(ta.src_span, tb.dst_span) {
-                edges[a].push(b);
+/// The must-precede relation of one step: `edges[a]` lists, in ascending
+/// transfer order, every `b` that overwrites a region `a` reads on `a`'s
+/// source node (so `a` must run before `b`).
+///
+/// Non-combining writers are indexed by destination node, each listed
+/// once per node in ascending transfer order, so a reader visits only the
+/// writers of its own source node rather than every transfer of the step.
+fn must_precede(step: StepRef<'_>) -> Vec<Vec<usize>> {
+    let mut writers: BTreeMap<u32, Vec<(usize, Span)>> = BTreeMap::new();
+    for (b, tb) in step.transfers().enumerate() {
+        if tb.combine {
+            continue;
+        }
+        for d in tb.dsts {
+            let list = writers.entry(d.0).or_default();
+            // A repeated destination lists the writer once.
+            if list.last().is_none_or(|&(last, _)| last != b) {
+                list.push((b, tb.dst_span));
             }
         }
     }
+    step.transfers()
+        .enumerate()
+        .map(|(a, ta)| {
+            writers.get(&ta.src.0).map_or_else(Vec::new, |list| {
+                list.iter()
+                    .filter(|&&(b, dst_span)| a != b && overlaps(ta.src_span, dst_span))
+                    .map(|&(b, _)| b)
+                    .collect()
+            })
+        })
+        .collect()
+}
+
+/// Reports a cycle in one step's must-precede relation, if one exists.
+fn check_serialization(pi: usize, si: usize, step: StepRef<'_>, diags: &mut Vec<Diagnostic>) {
+    let edges = must_precede(step);
+    let count = edges.len();
 
     // Iterative DFS three-coloring: a back edge is a cycle.
     #[derive(Clone, Copy, PartialEq)]
@@ -148,5 +171,130 @@ fn check_serialization(pi: usize, si: usize, step: StepRef<'_>, diags: &mut Vec<
                 stack.pop();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pim_arch::geometry::DpuId;
+    use pim_sim::rng::SimRng;
+
+    use super::*;
+    use crate::schedule::{CommStep, Transfer};
+
+    /// Reference all-pairs construction: the oracle the indexed
+    /// [`must_precede`] must reproduce element for element.
+    fn must_precede_pairwise(step: StepRef<'_>) -> Vec<Vec<usize>> {
+        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); step.len()];
+        for (a, ta) in step.transfers().enumerate() {
+            for (b, tb) in step.transfers().enumerate() {
+                if a == b || tb.combine {
+                    continue;
+                }
+                if tb.dsts.contains(&ta.src) && overlaps(ta.src_span, tb.dst_span) {
+                    edges[a].push(b);
+                }
+            }
+        }
+        edges
+    }
+
+    fn transfer(src: u32, dsts: &[u32], src_span: Span, dst_span: Span, combine: bool) -> Transfer {
+        Transfer {
+            src: DpuId(src),
+            dsts: dsts.iter().copied().map(DpuId).collect(),
+            src_span,
+            dst_span,
+            combine,
+            resources: Vec::new(),
+        }
+    }
+
+    /// A random step over a few nodes and a short buffer, so overlaps,
+    /// repeated destinations, combining writers, self-overlapping pairs
+    /// and zero-length spans all occur. Nodes past 8 (and two ids at the
+    /// top of the `u32` range) lie outside an 8-DPU geometry.
+    fn random_step(rng: &mut SimRng) -> CommStep {
+        let nodes = rng.gen_range(1..12u32);
+        let node = |rng: &mut SimRng| {
+            if rng.gen_bool(0.05) {
+                u32::MAX - rng.gen_range(0..2u32)
+            } else {
+                rng.gen_range(0..nodes)
+            }
+        };
+        let count = rng.gen_range(0..40usize);
+        let span =
+            |rng: &mut SimRng| Span::new(rng.gen_range(0..16usize), rng.gen_range(0..6usize));
+        let transfers = (0..count)
+            .map(|_| {
+                let src = node(rng);
+                let dsts: Vec<u32> = (0..rng.gen_range(0..4usize)).map(|_| node(rng)).collect();
+                let src_span = span(rng);
+                // Some transfers write exactly the region they read.
+                let dst_span = if rng.gen_bool(0.2) {
+                    src_span
+                } else {
+                    span(rng)
+                };
+                transfer(src, &dsts, src_span, dst_span, rng.gen_bool(0.3))
+            })
+            .collect();
+        // Bypass `CommStep::new`, which would drop zero-length transfers.
+        CommStep { transfers }
+    }
+
+    #[test]
+    fn indexed_must_precede_matches_pairwise_oracle() {
+        let mut rng = SimRng::seed_from_u64(0x057C_0302);
+        let mut edges_seen = 0;
+        for _ in 0..2000 {
+            let step = random_step(&mut rng);
+            let view = StepRef::Nested(&step);
+            let want = must_precede_pairwise(view);
+            assert_eq!(must_precede(view), want, "step {step:?}");
+            edges_seen += want.iter().map(Vec::len).sum::<usize>();
+        }
+        assert!(
+            edges_seen > 1000,
+            "generator too sparse: {edges_seen} edges"
+        );
+    }
+
+    #[test]
+    fn p302_reports_the_first_back_edge_in_edge_order() {
+        // Edges: 0 -> [2], 1 -> [0, 3], 2 -> [1, 3], 3 -> [2], with back
+        // edges 1 -> 0 and 3 -> 2. The DFS from 0 walks 0 -> 2 -> 1 and
+        // meets 1 -> 0 first; walking 1's edges out of transfer order would
+        // take 1 -> 3 and report 3 -> 2 instead.
+        let s = Span::new(0, 4);
+        let step = CommStep {
+            transfers: vec![
+                transfer(0, &[1], s, s, false),
+                transfer(1, &[2], s, s, false),
+                transfer(2, &[0], s, s, false),
+                transfer(0, &[1, 2], s, s, false),
+                // A combining writer never constrains the order.
+                transfer(3, &[0, 1, 2], s, s, true),
+            ],
+        };
+        let view = StepRef::Nested(&step);
+        assert_eq!(
+            must_precede(view),
+            vec![vec![2], vec![0, 3], vec![1, 3], vec![2], vec![]]
+        );
+        let mut diags = Vec::new();
+        check_serialization(4, 7, view, &mut diags);
+        assert_eq!(
+            diags,
+            vec![Diagnostic::error(
+                CYCLIC_WAIT,
+                Location::at(4, 7, 1),
+                "cyclic wait: transfer 1 must precede transfer 0 (it reads what 0 \
+                 overwrites) but 0 transitively precedes 1; the step admits no serial \
+                 order"
+                    .into(),
+            )]
+        );
     }
 }

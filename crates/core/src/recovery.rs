@@ -870,6 +870,7 @@ mod tests {
 
     #[test]
     fn fault_free_fast_path_matches_the_plain_run() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(N);
         let system = SystemConfig::paper_scaled(N);
         let timing = TimingModel::paper();
@@ -889,6 +890,7 @@ mod tests {
 
     #[test]
     fn backoff_escapes_a_transient_burst_bit_identically() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(N);
         let system = SystemConfig::paper_scaled(N);
         let timing = TimingModel::paper();
@@ -919,6 +921,7 @@ mod tests {
 
     #[test]
     fn persistent_flap_quarantines_the_link_and_replans() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(N);
         let system = SystemConfig::paper_scaled(N);
         let timing = TimingModel::paper();
@@ -971,6 +974,7 @@ mod tests {
 
     #[test]
     fn mid_run_segment_arrival_replans_the_suffix() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(N);
         let system = SystemConfig::paper_scaled(N);
         let timing = TimingModel::paper();
@@ -1008,6 +1012,7 @@ mod tests {
 
     #[test]
     fn unattributable_persistent_corruption_escalates_typed() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(N);
         let system = SystemConfig::paper_scaled(N);
         let timing = TimingModel::paper();
@@ -1036,6 +1041,7 @@ mod tests {
 
     #[test]
     fn recovery_is_deterministic_run_to_run() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(N);
         let system = SystemConfig::paper_scaled(N);
         let timing = TimingModel::paper();

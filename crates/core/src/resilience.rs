@@ -479,6 +479,7 @@ mod tests {
 
     #[test]
     fn no_dead_dpus_yields_the_full_plan() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(16);
         let plan = plan_degraded(
             CollectiveKind::AllReduce,
@@ -498,6 +499,7 @@ mod tests {
 
     #[test]
     fn dead_dpus_shrink_to_the_alive_power_of_two() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(16);
         // 3 dead => 13 alive => schedule over 8.
         let plan = plan_degraded(
@@ -537,6 +539,7 @@ mod tests {
 
     #[test]
     fn near_total_death_falls_back_to_the_host() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(8);
         // 7 of 8 dead: one alive DPU is no network at all.
         let plan = plan_degraded(
@@ -565,6 +568,7 @@ mod tests {
 
     #[test]
     fn total_death_is_a_typed_error() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(4);
         let err = plan_degraded(
             CollectiveKind::AllReduce,
@@ -580,6 +584,7 @@ mod tests {
 
     #[test]
     fn repairable_permanent_faults_yield_the_repaired_tier() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(64);
         let inj = FaultInjector::new(FaultConfig {
             permanent: pim_faults::PermanentFaultSet::parse_tokens("r0c0b2E, r0c3tx").unwrap(),
@@ -615,6 +620,7 @@ mod tests {
 
     #[test]
     fn repaired_tier_passes_static_analysis() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         // `plan_degraded` gates the Repaired tier on a clean analysis, so
         // any plan it returns at tier 1 must re-prove clean here.
         let g = PimGeometry::paper_scaled(64);
@@ -639,6 +645,7 @@ mod tests {
 
     #[test]
     fn dead_rank_shrinks_with_a_typed_trail() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(256); // 4 ranks of 64
         let inj = FaultInjector::new(FaultConfig {
             permanent: pim_faults::PermanentFaultSet::parse_tokens("rank3").unwrap(),
@@ -676,6 +683,7 @@ mod tests {
 
     #[test]
     fn planning_is_deterministic_per_seed() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(64);
         let cfg = FaultConfig {
             perm_rates: pim_faults::PermanentFaultRates {
@@ -714,6 +722,7 @@ mod tests {
 
     #[test]
     fn tier_order_is_monotone_in_severity() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(64);
         let sys = SystemConfig::paper_scaled(64);
         let tier = |cfg: FaultConfig| {

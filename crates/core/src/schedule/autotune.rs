@@ -337,6 +337,7 @@ mod tests {
 
     #[test]
     fn winner_is_never_worse_than_paper_and_is_clean() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let g = PimGeometry::paper_scaled(64);
         let choice = tune(CollectiveKind::AllReduce, &g, 64, 4).unwrap();
         assert!(choice.tuned_time <= choice.paper_time);
@@ -350,6 +351,7 @@ mod tests {
 
     #[test]
     fn reduce_and_gather_tune_to_the_paper_schedule() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         // No composed form exists for the rooted converge collectives:
         // the candidate list is empty and the incumbent wins.
         let g = PimGeometry::paper_scaled(16);

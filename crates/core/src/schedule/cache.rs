@@ -978,6 +978,28 @@ pub fn clear() {
     lock_lint_table().clear();
 }
 
+/// Serializes the tests of this crate that share the process-global
+/// cache. A test that clears the tables or asserts an exact counter delta
+/// holds [`test_lock::exclusive`]; every other test that reaches the
+/// cache holds [`test_lock::shared`], so no sibling builds or clears
+/// underneath a counter assertion.
+#[cfg(test)]
+pub(crate) mod test_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    /// Sole use of the cache and its counters.
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Use of the cache alongside other non-counting tests.
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -988,6 +1010,7 @@ mod tests {
 
     #[test]
     fn hit_returns_the_same_validated_schedule() {
+        let _cache = test_lock::exclusive();
         clear();
         let a = build_cached(CollectiveKind::AllReduce, &g(16), 96, 4).unwrap();
         let before = stats();
@@ -1003,6 +1026,7 @@ mod tests {
 
     #[test]
     fn distinct_parameters_do_not_collide() {
+        let _cache = test_lock::exclusive();
         clear();
         let a = build_cached(CollectiveKind::AllReduce, &g(8), 64, 4).unwrap();
         let b = build_cached(CollectiveKind::AllGather, &g(8), 64, 4).unwrap();
@@ -1015,6 +1039,7 @@ mod tests {
 
     #[test]
     fn errors_are_not_cached() {
+        let _cache = test_lock::exclusive();
         clear();
         let bad = build_cached(CollectiveKind::AllReduce, &g(8), 64, 0);
         assert!(bad.is_err());
@@ -1040,6 +1065,7 @@ mod tests {
 
     #[test]
     fn repair_cached_matches_a_fresh_repair() {
+        let _cache = test_lock::exclusive();
         clear();
         let faults = PermanentFaultSet::parse_tokens("r0c0b2E").unwrap();
         let a = repair_cached(CollectiveKind::AllReduce, &g(8), 128, 4, &faults).unwrap();
@@ -1064,6 +1090,7 @@ mod tests {
 
     #[test]
     fn boost_entries_do_not_collide_with_plain() {
+        let _cache = test_lock::exclusive();
         clear();
         let plain = build_cached(CollectiveKind::AllReduce, &g(64), 97, 4).unwrap();
         let built_before = stats().schedules_built;
@@ -1087,6 +1114,7 @@ mod tests {
 
     #[test]
     fn health_epoch_separates_replan_entries() {
+        let _cache = test_lock::exclusive();
         // Regression: a replan after mid-run quarantine used to share the
         // pre-fault key whenever the fault fingerprints coincided. With
         // the epoch in the key, a quarantined-link replan (epoch > 0) must

@@ -1298,6 +1298,7 @@ mod tests {
 
     #[test]
     fn every_request_gets_exactly_one_outcome() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let cfg = tiny_cfg(3);
         let report = serve(&cfg).unwrap();
         assert_eq!(report.log.len(), sample_arrivals(&cfg).len());
@@ -1311,6 +1312,7 @@ mod tests {
 
     #[test]
     fn serve_is_deterministic_per_seed() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let cfg = tiny_cfg(11);
         let a = serve(&cfg).unwrap();
         let b = serve(&cfg).unwrap();
@@ -1320,6 +1322,7 @@ mod tests {
 
     #[test]
     fn tight_deadlines_shed_with_typed_errors() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let mut cfg = tiny_cfg(5);
         for t in &mut cfg.tenants {
             t.deadline_ps = 1; // everything that queues behind service slips
@@ -1343,6 +1346,7 @@ mod tests {
 
     #[test]
     fn overload_ladder_is_monotone_and_reaches_shed() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let mut cfg = tiny_cfg(9);
         for t in &mut cfg.tenants {
             t.mean_gap_ps = 120_000; // flood: ~3x the per-request service time
@@ -1374,6 +1378,7 @@ mod tests {
 
     #[test]
     fn autotuned_tenants_serve_and_never_price_worse_than_paper() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let base = tiny_cfg(13);
         let mut tuned = base.clone();
         for t in &mut tuned.tenants {
@@ -1409,6 +1414,7 @@ mod tests {
 
     #[test]
     fn empty_tenant_list_is_a_typed_config_error() {
+        let _cache = crate::schedule::cache::test_lock::shared();
         let cfg = ServeConfig {
             tenants: Vec::new(),
             ..ServeConfig::uniform(1, 0)

@@ -14,11 +14,27 @@ use pimnet_suite::net::analysis::presets;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::schedule::{cache, repair, validate, CommSchedule};
 use pimnet_suite::sim::par;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// The schedule cache and its counters are process-global. The test that
+/// asserts exact counter values holds this lock for writing; every other
+/// test that reaches the cache holds it for reading, so no sibling builds
+/// a schedule between its reset and its assertions.
+static CACHE: RwLock<()> = RwLock::new(());
+
+fn cache_shared() -> RwLockReadGuard<'static, ()> {
+    CACHE.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn cache_exclusive() -> RwLockWriteGuard<'static, ()> {
+    CACHE.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn chaos_soak_is_identical_at_every_worker_count() {
+    let _cache = cache_shared();
     let reference = sweeps::chaos_soak(3, 0xC40, 1);
     for workers in WORKER_COUNTS {
         let run = sweeps::chaos_soak(3, 0xC40, workers);
@@ -34,6 +50,7 @@ fn chaos_soak_is_identical_at_every_worker_count() {
 
 #[test]
 fn lint_preset_matrix_is_identical_at_every_worker_count() {
+    let _cache = cache_shared();
     let verdict = |workers: usize| -> Vec<String> {
         par::map_ordered_with(workers, presets::cases(), |case| match case.run() {
             Ok(report) => format!("{}: {}", case.label(), report.summary()),
@@ -53,6 +70,7 @@ fn lint_preset_matrix_is_identical_at_every_worker_count() {
 
 #[test]
 fn fig12_sweep_is_identical_at_every_worker_count() {
+    let _cache = cache_shared();
     for kind in [CollectiveKind::AllReduce, CollectiveKind::AllToAll] {
         let reference = sweeps::fig12_table(kind, 1).to_csv();
         for workers in WORKER_COUNTS {
@@ -88,6 +106,7 @@ fn fuzz_style_sampling_is_identical_at_every_worker_count() {
 
 #[test]
 fn cache_hits_are_structurally_equal_to_fresh_builds() {
+    let _cache = cache_shared();
     cache::clear();
     let g = PimGeometry::paper_scaled(64);
     for kind in CollectiveKind::ALL {
@@ -110,6 +129,7 @@ fn cache_hits_are_structurally_equal_to_fresh_builds() {
 
 #[test]
 fn concurrent_cold_misses_build_each_schedule_once() {
+    let _cache = cache_exclusive();
     cache::clear();
     cache::reset_stats();
     let g = PimGeometry::paper_scaled(32);
