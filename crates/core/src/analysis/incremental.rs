@@ -39,6 +39,7 @@
 
 use std::sync::Arc;
 
+use crate::schedule::occupancy::FlowOccupancy;
 use crate::schedule::repair::RepairedSchedule;
 use crate::schedule::{CommSchedule, CommStep, ScheduleView, StepRef};
 
@@ -211,12 +212,17 @@ fn phase_warnings(schedule: &CommSchedule, diags: &mut Vec<Diagnostic>) {
 
 /// Runs all four step-local kernels on one step, folding `live`, and
 /// returns the step's record.
-fn lint_step(schedule: &CommSchedule, pos: FlatPos, live: &mut DataflowState) -> StepRecord {
+fn lint_step(
+    schedule: &CommSchedule,
+    pos: FlatPos,
+    live: &mut DataflowState,
+    occupancy: &mut FlowOccupancy,
+) -> StepRecord {
     let (pi, si, multiplexed) = pos;
     let step = StepRef::Nested(step_at(schedule, pos));
     let hdr = schedule.header();
     let mut diags = Vec::new();
-    structural::check_step(&hdr, pi, si, step, multiplexed, &mut diags);
+    structural::check_step(&hdr, pi, si, step, multiplexed, occupancy, &mut diags);
     sync::check_step(&hdr, pi, si, step, &mut diags);
     hazard::check_step(pi, si, step, &mut diags);
     live.feed_step(&hdr, pi, si, step, &mut diags);
@@ -264,6 +270,7 @@ pub struct ScheduleVerifier {
     flat: Vec<FlatPos>,
     cursor: usize,
     live: DataflowState,
+    occupancy: FlowOccupancy,
     prologue: Vec<Diagnostic>,
     records: Vec<StepRecord>,
 }
@@ -282,6 +289,7 @@ impl ScheduleVerifier {
             flat,
             cursor: 0,
             live,
+            occupancy: FlowOccupancy::default(),
             prologue,
             records: Vec::new(),
         }
@@ -298,7 +306,7 @@ impl ScheduleVerifier {
     pub fn feed_step(&mut self) -> Option<StepVerdict> {
         let pos = *self.flat.get(self.cursor)?;
         self.cursor += 1;
-        let record = lint_step(&self.schedule, pos, &mut self.live);
+        let record = lint_step(&self.schedule, pos, &mut self.live, &mut self.occupancy);
         let errors = record
             .diags
             .iter()
@@ -428,10 +436,11 @@ pub fn reverify_delta(
         reused_prefix: k,
         ..DeltaStats::default()
     };
+    let mut occupancy = FlowOccupancy::default();
 
     // Dirty middle: every step with no aligned counterpart.
     for &pos in &new_flat[k..len_n - m] {
-        records.push(lint_step(&new_schedule, pos, &mut live));
+        records.push(lint_step(&new_schedule, pos, &mut live, &mut occupancy));
         stats.relinted += 1;
     }
 
@@ -454,7 +463,12 @@ pub fn reverify_delta(
         if converged {
             break;
         }
-        records.push(lint_step(&new_schedule, new_flat[len_n - m + j], &mut live));
+        records.push(lint_step(
+            &new_schedule,
+            new_flat[len_n - m + j],
+            &mut live,
+            &mut occupancy,
+        ));
         stats.relinted += 1;
         j += 1;
     }
@@ -480,6 +494,7 @@ pub fn reverify_delta(
                 &new_schedule,
                 new_flat[len_n - m + jj],
                 &mut live,
+                &mut occupancy,
             ));
             stats.relinted += 1;
         }

@@ -9,8 +9,7 @@
 //! reductions only appear in reducing collectives, and bufferless
 //! resources never carry two flows in a non-multiplexed step.
 
-use std::collections::{BTreeMap, HashSet};
-
+use crate::schedule::occupancy::FlowOccupancy;
 use crate::schedule::{ScheduleHeader, ScheduleView, StepRef, TransferRef};
 use crate::topology::{ChipLoc, Resource};
 
@@ -43,10 +42,12 @@ pub const MALFORMED_RESULT_TABLE: &str = "P010";
 pub(super) fn check<S: ScheduleView>(schedule: &S, diags: &mut Vec<Diagnostic>) {
     let hdr = schedule.header();
     check_prologue(&hdr, diags);
+    let mut occupancy = FlowOccupancy::default();
     for pi in 0..schedule.phase_count() {
         let multiplexed = schedule.phase_multiplexed(pi);
         for si in 0..schedule.steps_in(pi) {
-            check_step(&hdr, pi, si, schedule.step(pi, si), multiplexed, diags);
+            let step = schedule.step(pi, si);
+            check_step(&hdr, pi, si, step, multiplexed, &mut occupancy, diags);
         }
     }
 }
@@ -84,53 +85,49 @@ pub(super) fn check_prologue(hdr: &ScheduleHeader<'_>, diags: &mut Vec<Diagnosti
 
 /// Structural checks for one step at `(pi, si)`; step-local by
 /// construction, so the incremental verifier calls it verbatim.
+/// `occupancy` is scratch reused across steps.
 pub(super) fn check_step(
     hdr: &ScheduleHeader<'_>,
     pi: usize,
     si: usize,
     step: StepRef<'_>,
     multiplexed: bool,
+    occupancy: &mut FlowOccupancy,
     diags: &mut Vec<Diagnostic>,
 ) {
-    // A "flow" is a distinct (source, destination-set) pair, as in
-    // the validator: back-to-back transfers of one pair share a
-    // single scheduled slot on the wire. BTreeMap keeps the emission
-    // order independent of hash state.
-    let mut usage: BTreeMap<Resource, HashSet<(u32, Vec<u32>)>> = BTreeMap::new();
+    occupancy.clear();
     for (ti, t) in step.transfers().enumerate() {
         check_transfer(hdr, t, Location::at(pi, si, ti), diags);
-        if t.is_local() {
-            continue;
-        }
-        let flow = (t.src.0, t.dsts.iter().map(|d| d.0).collect::<Vec<_>>());
-        for r in t.resources {
-            usage.entry(*r).or_default().insert(flow.clone());
+        if !multiplexed && !t.is_local() {
+            occupancy.record(ti, t.src, t.resources);
         }
     }
-    if !multiplexed {
-        for (r, flows) in &usage {
-            if flows.len() > 1 && r.requires_exclusive_step() {
-                diags.push(Diagnostic::error(
-                    EXCLUSIVE_SHARING,
-                    Location::step(pi, si),
-                    format!(
-                        "bufferless resource {r} carries {} flows in a \
-                         non-multiplexed step",
-                        flows.len()
-                    ),
-                ));
-            }
-            if flows.len() > 1 && matches!(r, Resource::ChipTx { .. } | Resource::ChipRx { .. }) {
-                diags.push(Diagnostic::error(
-                    EXCLUSIVE_SHARING,
-                    Location::step(pi, si),
-                    format!(
-                        "chip channel {r} carries {} flows in a \
-                         non-multiplexed step",
-                        flows.len()
-                    ),
-                ));
-            }
+    if multiplexed {
+        return;
+    }
+    // A "flow" is a distinct (source, destination-set) pair, as in the
+    // validator: back-to-back transfers of one pair share a single
+    // scheduled slot on the wire. Findings come out in `Resource` order.
+    for (r, flows) in occupancy.flow_counts(move |ti| step.transfer(ti as usize).dsts) {
+        if flows > 1 && r.requires_exclusive_step() {
+            diags.push(Diagnostic::error(
+                EXCLUSIVE_SHARING,
+                Location::step(pi, si),
+                format!(
+                    "bufferless resource {r} carries {flows} flows in a \
+                     non-multiplexed step"
+                ),
+            ));
+        }
+        if flows > 1 && matches!(r, Resource::ChipTx { .. } | Resource::ChipRx { .. }) {
+            diags.push(Diagnostic::error(
+                EXCLUSIVE_SHARING,
+                Location::step(pi, si),
+                format!(
+                    "chip channel {r} carries {flows} flows in a \
+                     non-multiplexed step"
+                ),
+            ));
         }
     }
 }
@@ -280,5 +277,102 @@ fn expect_dq_endpoints(
                 format!("missing destination chip Rx channel for {d}"),
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use pim_sim::rng::SimRng;
+
+    use super::*;
+    use crate::schedule::occupancy::testgen;
+    use crate::schedule::FlatSchedule;
+
+    /// The per-step map form of [`check_step`] that the flow-occupancy
+    /// kernel replaced: the reference it must reproduce, findings and
+    /// order alike.
+    fn check_step_maps(
+        hdr: &ScheduleHeader<'_>,
+        pi: usize,
+        si: usize,
+        step: StepRef<'_>,
+        multiplexed: bool,
+        diags: &mut Vec<Diagnostic>,
+    ) {
+        let mut usage: BTreeMap<Resource, BTreeSet<(u32, Vec<u32>)>> = BTreeMap::new();
+        for (ti, t) in step.transfers().enumerate() {
+            check_transfer(hdr, t, Location::at(pi, si, ti), diags);
+            if t.is_local() {
+                continue;
+            }
+            let flow = (t.src.0, t.dsts.iter().map(|d| d.0).collect::<Vec<_>>());
+            for r in t.resources {
+                usage.entry(*r).or_default().insert(flow.clone());
+            }
+        }
+        if !multiplexed {
+            for (r, flows) in &usage {
+                if flows.len() > 1 && r.requires_exclusive_step() {
+                    diags.push(Diagnostic::error(
+                        EXCLUSIVE_SHARING,
+                        Location::step(pi, si),
+                        format!(
+                            "bufferless resource {r} carries {} flows in a \
+                             non-multiplexed step",
+                            flows.len()
+                        ),
+                    ));
+                }
+                if flows.len() > 1 && matches!(r, Resource::ChipTx { .. } | Resource::ChipRx { .. })
+                {
+                    diags.push(Diagnostic::error(
+                        EXCLUSIVE_SHARING,
+                        Location::step(pi, si),
+                        format!(
+                            "chip channel {r} carries {} flows in a \
+                             non-multiplexed step",
+                            flows.len()
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+
+    /// Every step of `schedule` through the kernel (one scratch reused
+    /// across steps) and through the map oracle; returns the P009 count.
+    fn compare<S: ScheduleView>(schedule: &S) -> usize {
+        let hdr = schedule.header();
+        let mut occupancy = FlowOccupancy::default();
+        let mut sharing = 0;
+        for pi in 0..schedule.phase_count() {
+            let multiplexed = schedule.phase_multiplexed(pi);
+            for si in 0..schedule.steps_in(pi) {
+                let step = schedule.step(pi, si);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                check_step(&hdr, pi, si, step, multiplexed, &mut occupancy, &mut got);
+                check_step_maps(&hdr, pi, si, step, multiplexed, &mut want);
+                assert_eq!(got, want, "phase {pi} step {si}");
+                sharing += got.iter().filter(|d| d.code == EXCLUSIVE_SHARING).count();
+            }
+        }
+        sharing
+    }
+
+    #[test]
+    fn kernel_matches_the_map_oracle_on_random_steps() {
+        let mut rng = SimRng::seed_from_u64(0x5707_0009);
+        let (mut sharing, mut multi) = (0, 0);
+        for _ in 0..3000 {
+            let s = testgen::random_schedule(&mut rng);
+            let nested = compare(&s);
+            assert_eq!(compare(&FlatSchedule::from_schedule(&s)), nested);
+            sharing += nested;
+            multi += usize::from(nested > 1);
+        }
+        assert!(sharing > 1000, "{sharing} P009 findings");
+        assert!(multi > 300, "{multi} schedules with several P009 findings");
     }
 }

@@ -36,6 +36,7 @@ pub mod boost;
 mod broadcast;
 pub mod cache;
 pub mod halving;
+pub(crate) mod occupancy;
 pub mod repair;
 mod ring;
 pub mod soa;
